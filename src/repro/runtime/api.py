@@ -85,6 +85,13 @@ class HopeProcess:
     Thin by design: each method builds an effect for the engine; no state
     lives here except identity, so user code cannot accidentally bypass
     the effect log.
+
+    The hot constructors build their effect via ``object.__new__`` plus
+    slot stores rather than the effect class's constructor: a body
+    allocates one effect per yield, again on every replayed yield, and
+    skipping the ``__init__`` frame is measurable there.  The stores and
+    checks must match the classes' ``__init__`` (``compute`` keeps its
+    negative-duration check).
     """
 
     def __init__(self, name: str) -> None:
@@ -95,20 +102,28 @@ class HopeProcess:
     # ------------------------------------------------------------------
     def aid_init(self, name: str = "aid") -> AidInitEffect:
         """Create an assumption identifier; resumes with an :class:`AidHandle`."""
-        return AidInitEffect(name)
+        effect = _new_effect(AidInitEffect)
+        effect.name = name
+        return effect
 
     def guess(self, aid: AidRef) -> GuessEffect:
         """Make the optimistic assumption ``aid``; resumes with True, or
         False when re-executed after the assumption is denied."""
-        return GuessEffect(aid_key(aid))
+        effect = _new_effect(GuessEffect)
+        effect.aid_key = aid.key if type(aid) is AidHandle else aid_key(aid)
+        return effect
 
     def affirm(self, aid: AidRef) -> AffirmEffect:
         """Assert the assumption identified by ``aid`` is true."""
-        return AffirmEffect(aid_key(aid))
+        effect = _new_effect(AffirmEffect)
+        effect.aid_key = aid.key if type(aid) is AidHandle else aid_key(aid)
+        return effect
 
     def deny(self, aid: AidRef) -> DenyEffect:
         """Assert the assumption identified by ``aid`` is false."""
-        return DenyEffect(aid_key(aid))
+        effect = _new_effect(DenyEffect)
+        effect.aid_key = aid.key if type(aid) is AidHandle else aid_key(aid)
+        return effect
 
     def free_of(self, aid: AidRef) -> FreeOfEffect:
         """Assert this computation is (and will stay) causally free of ``aid``."""
@@ -120,9 +135,6 @@ class HopeProcess:
     def send(self, dst: str, payload: Any) -> SendEffect:
         """Asynchronously send ``payload``; automatically tagged with the
         sender's current assumption dependencies (§7)."""
-        # Built via __new__ + slot stores rather than the constructor:
-        # one effect is allocated per send and skipping the __init__
-        # frame is measurable on the message hot path.
         effect = _new_effect(SendEffect)
         effect.dst = dst
         effect.payload = payload
@@ -152,7 +164,11 @@ class HopeProcess:
     # ------------------------------------------------------------------
     def compute(self, duration: float) -> ComputeEffect:
         """Model ``duration`` time units of local CPU work."""
-        return ComputeEffect(duration)
+        if duration < 0:
+            raise ValueError(f"compute duration must be >= 0, got {duration}")
+        effect = _new_effect(ComputeEffect)
+        effect.duration = duration
+        return effect
 
     def now(self) -> NowEffect:
         """Read the virtual clock (replay-safe)."""
@@ -167,7 +183,9 @@ class HopeProcess:
         withdrawn on rollback, committed once all assumptions resolve.
         Read results with :meth:`HopeSystem.outputs` /
         :meth:`HopeSystem.committed_outputs`."""
-        return EmitEffect(value)
+        effect = _new_effect(EmitEffect)
+        effect.value = value
+        return effect
 
     def spawn(self, name: str, fn: Callable, *args: Any) -> SpawnEffect:
         """Start another HOPE process; resumes with its name."""

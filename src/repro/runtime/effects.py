@@ -212,3 +212,27 @@ class SpawnEffect(HopeEffect):
 
     def __repr__(self) -> str:
         return f"Spawn({self.name!r})"
+
+
+#: Effect kind by exact type, for every effect the engine performs.  The
+#: replay loop probes it once per re-fed entry: one lookup is both the
+#: HOPE type check (a miss means a foreign or subclassed effect) and the
+#: kind read for the log-shape check.
+EFFECT_KINDS = {
+    cls: cls.kind
+    for cls in (
+        AidInitEffect,
+        GuessEffect,
+        AffirmEffect,
+        DenyEffect,
+        FreeOfEffect,
+        SendEffect,
+        RecvEffect,
+        ComputeEffect,
+        NowEffect,
+        RandomEffect,
+        EmitEffect,
+        CommitPointEffect,
+        SpawnEffect,
+    )
+}

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import copy
 import weakref
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Callable, Generator, Optional
 
 from ..core import (
@@ -125,13 +127,17 @@ class OutputRecord:
         return f"<Output {self.value!r} {state}>"
 
 
+_log_index = attrgetter("log_index")
+
+
 class ProcessRuntime:
     """Per-process runtime state: body, effect log, current task incarnation."""
 
     __slots__ = (
         "name", "fn", "args", "facade", "log", "shadow", "task",
         "incarnation", "restarts", "done", "result", "crashed", "outputs",
-        "track", "mailbox", "mproc", "bridge", "rebase", "rebase_candidates",
+        "outputs_kept", "track", "mailbox", "mproc", "bridge", "rebase",
+        "rebase_candidates",
     )
 
     def __init__(self, name: str, fn: Callable[..., Generator], args: tuple) -> None:
@@ -150,6 +156,10 @@ class ProcessRuntime:
         self.result: Any = None
         self.crashed = False
         self.outputs: list[OutputRecord] = []
+        #: Leading outputs that outlived a crash: committed, so never
+        #: withdrawn, and logged by an earlier incarnation, so their
+        #: log_index says nothing about this one's log.
+        self.outputs_kept = 0
         #: Cached timeline track and mailbox (assigned at spawn; hot-path
         #: marks and recv registrations skip the per-event name lookups).
         self.track = None
@@ -759,6 +769,7 @@ class HopeSystem:
         # Outputs from forgotten intervals are permanently uncommitted
         # (their intervals are now rolled back); drop them from the buffer.
         proc.outputs = [r for r in proc.outputs if r.committed]
+        proc.outputs_kept = len(proc.outputs)
         self.tracer.record(self.sim.now, "crash", name)
 
     def restart_process(self, name: str) -> None:
@@ -1136,27 +1147,48 @@ class HopeSystem:
                 "use the HopeProcess facade (p.compute / p.recv / ...) so the "
                 "effect log stays replayable"
             )
-        log = proc.log
-        # Replay fast-forward: feed the whole logged prefix in one tight
-        # loop (one simulator event total) instead of scheduling a resume
-        # event per entry.  No virtual time passes during replay either
-        # way, and the replaying task interacts with nothing live, so
-        # collapsing the per-entry events is behaviour-preserving.
+        # A restarted incarnation first replays its logged prefix.
         # (log.pending is `log.replaying` as a maintained counter: this
         # guard runs once per live effect and the index arithmetic, let
         # alone the property call, was measurable.)
-        while log.pending:
-            result = log.feed(effect.kind)
-            effect = task.drive(result)
+        if proc.log.pending:
+            effect = self._fast_forward(proc, task, effect)
             if effect is None:
                 return  # the incarnation finished (or died) mid-replay
             handler = self._handler_get(type(effect))
-            if handler is None:
-                raise HopeError(
-                    f"HOPE process {proc.name!r} yielded non-HOPE effect "
-                    f"{effect!r} during replay"
-                )
         handler(self, proc, task, effect)
+
+    def _fast_forward(self, proc: ProcessRuntime, task: Task, effect: Effect):
+        """Replay fast-forward: feed a restarted incarnation its whole
+        logged prefix in one loop, then return the first live effect.
+
+        One simulator event covers the whole replay instead of a resume
+        event per entry.  No virtual time passes during replay either
+        way, and the replaying task interacts with nothing live, so
+        collapsing the per-entry events is behaviour-preserving.  The
+        loop (:meth:`EffectLog.fast_forward`) sends straight into the
+        generator; the task's state is settled here, as ``Task._drive``
+        would: done with its result when the body returns, killed, or
+        failed with the error re-raised.  Returns None when the body
+        ended mid-replay.
+        """
+        log = proc.log
+        task._state = Task._RUNNING
+        try:
+            effect = log.fast_forward(task._gen, effect, log.cursor + log.pending)
+        except Exception as exc:
+            if task._exited(exc):
+                raise
+            return None
+        task._state = Task._WAITING
+        if self._handler_get(type(effect)) is None:
+            raise HopeError(
+                f"HOPE process {proc.name!r} yielded non-HOPE effect "
+                f"{effect!r} during replay"
+            )
+        if log.pending:
+            raise log.divergence(effect.kind)
+        return effect
 
     # ---- live handlers -------------------------------------------------
     def _do_aid_init(self, proc, task, effect: AidInitEffect) -> None:
@@ -1627,9 +1659,15 @@ class HopeSystem:
             ]
         # Withdraw speculative outputs produced after the checkpoint
         # (the output-commit discipline: uncommitted outputs die with the
-        # speculation that produced them).
-        proc.outputs = [
-            r for r in proc.outputs if r.log_index < checkpoint.log_index
+        # speculation that produced them).  Past the outputs kept from
+        # before a crash the list is ordered by log_index — emits append
+        # in log order and a rollback keeps a prefix — so the withdrawn
+        # outputs are a suffix.
+        outputs = proc.outputs
+        del outputs[
+            bisect_left(
+                outputs, checkpoint.log_index, proc.outputs_kept, key=_log_index
+            ):
         ]
         wasted = proc.track.reclassify_since(
             checkpoint.time, Span.WASTED, self.sim.now

@@ -14,23 +14,30 @@ randomness — flows through effects).  It is also *measurable*: the CKPT
 benchmark charges real wall-clock for replays, matching the paper's remark
 that their checkpointing is the inefficiency to optimize.
 
-Checkpointed partial replay (``HopeSystem(fast_rollback=True)``) closes
-that inefficiency for rollback: a :class:`ShadowCheckpoint` is a replica
+Checkpointed partial replay (``HopeSystem(fast_rollback=True)``) moves
+that cost off the rollback: a :class:`ShadowCheckpoint` is a replica
 incarnation of the process parked at the newest guess boundary, advanced
 incrementally as checkpoints are taken.  A rollback whose truncation
 point is at or after the shadow's position promotes the replica to be
-the live incarnation instead of replaying the whole log from entry 0 —
-restoring a checkpoint costs only the log delta since the shadow, i.e.
-O(work since the rolled-back guess), not O(full history).  See
-docs/PERFORMANCE.md for the exact contract (bodies must be effect-pure).
+the live incarnation instead of replaying the whole log from the base,
+so the restart itself feeds only the delta since the shadow.  Promotion
+consumes the replica, though, and the next one is rebuilt from the log
+base: in wall time the shadow feeds about as many entries as replay
+would.  See docs/PERFORMANCE.md §3 for measurements and the exact
+contract (bodies must be effect-pure).
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from typing import Any, NamedTuple
 
 from ..core.errors import HopeError
+from .effects import EFFECT_KINDS
+
+#: Pre-bound kind lookup for the replay loop (see EffectLog.fast_forward).
+_kind_of = EFFECT_KINDS.get
 
 
 class ReplayDivergenceError(HopeError):
@@ -110,8 +117,8 @@ class EffectLog:
 
     Live execution appends entries; after a rollback the engine truncates
     to the checkpoint and the new incarnation consumes entries via
-    :meth:`feed` until the cursor reaches the end, at which point the
-    process is live again.
+    :meth:`fast_forward` until the cursor reaches the end, at which point
+    the process is live again.
 
     All indices (``cursor``, checkpoint/truncation/replay positions) are
     **absolute** journal positions, stable across fossil collection.
@@ -215,15 +222,67 @@ class EffectLog:
         """Return the logged result for the next effect, checking its kind."""
         entry = self.entries[self.cursor - self.base]
         if entry.kind != kind:
-            raise ReplayDivergenceError(
-                f"replay divergence at entry {self.cursor}: process yielded "
-                f"{kind!r} but the log recorded {entry.kind!r} — the process "
-                "body is not deterministic in its effect results"
-            )
+            raise self.divergence(kind)
         self.cursor += 1
         self.pending -= 1
         self.replayed_entries_total += 1
         return entry.result
+
+    def divergence(self, kind: str) -> ReplayDivergenceError:
+        """The error for an effect of ``kind`` yielded at the cursor."""
+        return ReplayDivergenceError(
+            f"replay divergence at entry {self.cursor}: process yielded "
+            f"{kind!r} but the log recorded {self.entry_at(self.cursor).kind!r} "
+            "— the process body is not deterministic in its effect results"
+        )
+
+    def fast_forward(self, gen, effect, stop: int, shadow=None):
+        """Feed logged results into ``gen`` up to absolute position ``stop``.
+
+        The one replay loop: a restarted incarnation catches up to the log
+        tail here, and a :class:`ShadowCheckpoint` replica catches up to a
+        checkpoint.  ``gen`` is suspended on ``effect``; feeding starts at
+        the cursor, or at ``shadow.pos`` for a replica.  Returns the effect
+        ``gen`` is suspended on when the loop stops.
+
+        Each step checks the pending effect's kind against the entry, then
+        sends the entry's result.  The loop stops early, without raising,
+        at the first effect whose kind differs from its entry's or whose
+        exact type is not a HOPE effect; callers tell the two apart and
+        decide what each means.  (A replica also accepts any object with
+        a matching ``kind``.)  Exceptions from the body propagate.
+
+        The position reached and the feed counters are written back once,
+        in ``finally``.  An entry counts as fed once its result is sent,
+        including a send the body answers by returning or raising.
+        """
+        entries = self.entries
+        base = self.base
+        start = i = (self.cursor if shadow is None else shadow.pos) - base
+        kind_of = _kind_of
+        kind = kind_of(type(effect))
+        if kind is None and shadow is not None:
+            kind = getattr(effect, "kind", None)
+        send = gen.send
+        try:
+            for entry_kind, result in islice(entries, start, stop - base):
+                if entry_kind != kind:
+                    break
+                i += 1
+                effect = send(result)
+                kind = kind_of(type(effect))
+                if kind is None and shadow is not None:
+                    kind = getattr(effect, "kind", None)
+        finally:
+            fed = i - start
+            if shadow is None:
+                self.cursor = base + i
+                self.pending -= fed
+                self.replayed_entries_total += fed
+            else:
+                shadow.pos = base + i
+                self.shadow_feeds_total += fed
+        return effect
 
     def truncate(self, index: int) -> int:
         """Drop entries from absolute position ``index`` on.
@@ -336,20 +395,16 @@ class ShadowCheckpoint:
         try:
             if self.pending_effect is None:
                 self.pending_effect = self.gen.send(None)
-            while self.pos < target:
-                entry = log.entry_at(self.pos)
-                if entry.kind != getattr(self.pending_effect, "kind", None):
-                    self.invalidate()
-                    return False
-                self.pending_effect = self.gen.send(entry.result)
-                self.pos += 1
-                log.shadow_feeds_total += 1
-        except StopIteration:
+            self.pending_effect = log.fast_forward(
+                self.gen, self.pending_effect, target, self
+            )
+        except Exception:
+            # The replica finished early or crashed.  It must never take
+            # down the live run: the shadow is an optimization, so fall
+            # back to full replay.
             self.invalidate()
             return False
-        except Exception:
-            # A replica crash must never take down the live run; the
-            # shadow is an optimization, so fall back to full replay.
+        if self.pos < target:   # diverged from the log
             self.invalidate()
             return False
         return True

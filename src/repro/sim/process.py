@@ -385,22 +385,6 @@ class Task:
             if effect is None:
                 return
 
-    def drive(self, value: Any = None) -> Optional[Effect]:
-        """Advance the generator one step synchronously and return the
-        yielded effect — ``None`` if the task finished — without
-        dispatching it to the handler.
-
-        This is the replay fast path: the HOPE engine feeds a restarted
-        incarnation its logged effect results in a tight loop, one
-        ``drive`` per entry, instead of scheduling a simulator event per
-        resume.  Only valid while the task is waiting at a yield.
-        """
-        if self._state != Task._WAITING:
-            raise SimulationError(
-                f"cannot drive task {self.name!r} in state {self._state!r}"
-            )
-        return self._drive(value, False)
-
     def _drive(self, value: Any, is_throw: bool) -> Optional[Effect]:
         self._pending = None
         if self._cleanups:
@@ -411,25 +395,34 @@ class Task:
                 effect = self._gen.throw(value)
             else:
                 effect = self._gen.send(value)
-        except StopIteration as stop:
-            self._state = Task._DONE
-            self.result = stop.value
-            if self.on_exit is not None:
-                self.on_exit(self)
-            return None
-        except TaskKilled:
-            self._state = Task._KILLED
-            if self.on_exit is not None:
-                self.on_exit(self)
-            return None
         except Exception as exc:
-            self._state = Task._FAILED
-            self.error = exc
-            if self.on_exit is not None:
-                self.on_exit(self)
-            raise
+            if self._exited(exc):
+                raise
+            return None
         self._state = Task._WAITING
         return effect
+
+    def _exited(self, exc: Exception) -> bool:
+        """Settle the task after its generator raised ``exc`` instead of
+        yielding: StopIteration finishes it with the return value,
+        TaskKilled kills it, anything else fails it (``error`` keeps the
+        exception).  Runs ``on_exit``; returns True for a failure, which
+        the caller re-raises.  Also used by the HOPE engine's replay loop,
+        which drives the generator without going through :meth:`_drive`.
+        """
+        failed = False
+        if isinstance(exc, StopIteration):
+            self._state = Task._DONE
+            self.result = exc.value
+        elif isinstance(exc, TaskKilled):
+            self._state = Task._KILLED
+        else:
+            self._state = Task._FAILED
+            self.error = exc
+            failed = True
+        if self.on_exit is not None:
+            self.on_exit(self)
+        return failed
 
     def _run_cleanups(self) -> None:
         cleanups, self._cleanups = self._cleanups, []
