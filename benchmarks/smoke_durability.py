@@ -1,6 +1,6 @@
 """CI smoke: durable runs must stay cheap, recoverable, and honest.
 
-Three budgets from ``overhead_threshold.json``:
+Four budgets from ``overhead_threshold.json``:
 
 * **DURABLE overhead** — wall time of the commit-point counter workload
   with snapshot+WAL recording on vs. off must stay at or below
@@ -9,6 +9,10 @@ Three budgets from ``overhead_threshold.json``:
   fsyncs WAL batch markers from every fossil pass, so the ratio is well
   above 1 by design; the budget catches a regression that starts
   serializing speculative state or snapshotting every event.
+* **WAL size** — WAL bytes per persisted record of that same durable
+  run must stay at or below ``max_durable_wal_bytes_per_record``.  Both
+  counts are deterministic, so this is judged once, exactly; it fails a
+  return to one WAL line per entry.
 * **RECOVERY wall** — killing the workload at the latest budgeted crash
   point and resuming (load + verify + WAL replay + reconvergence) must
   finish within ``max_recovery_wall_s``.
@@ -80,11 +84,23 @@ def _check_overhead(budget: dict) -> int:
         best = ratio if best is None else min(best, ratio)
         if best <= limit:
             break
+    rc = 0
     if best is None or best > limit:
         print(f"FAIL: durable overhead ratio {best:.2f} best-of-attempts "
               f"exceeds budget {limit}")
+        rc = 1
+    else:
+        print(f"OK: durable overhead ratio {best:.2f} within budget {limit}")
+    return rc | _check_wal_size(budget, stats)
+
+
+def _check_wal_size(budget: dict, stats: dict) -> int:
+    limit = budget["max_durable_wal_bytes_per_record"]
+    per_record = stats["wal_bytes"] / stats["wal_records"]
+    if per_record > limit:
+        print(f"FAIL: {per_record:.1f} WAL bytes per record exceeds budget {limit}")
         return 1
-    print(f"OK: durable overhead ratio {best:.2f} within budget {limit}")
+    print(f"OK: {per_record:.1f} WAL bytes per record within budget {limit}")
     return 0
 
 

@@ -24,14 +24,24 @@ the world, commitments are not.
 
 Write path: the engine calls ``note_send``/``note_resolution`` on the
 hot path (cheap side-buffer appends), ``flush_proc`` + ``end_pass`` from
-the fossil-collection pass (committed entries become WAL records, a
-sealed batch marker makes them durable), and every ``snapshot_every``-th
-pass consolidates into a new sealed envelope, rotating the WAL so disk
-stays bounded like RAM.
+the fossil-collection pass, and every ``snapshot_every``-th pass
+consolidates into a new sealed envelope and rotates the WAL.  Per pass,
+``flush_proc`` writes at most two WAL lines per process: an entries line
+``{"t":"E","p":name,"i":first_pos,"e":rows}`` and an outputs line
+``{"t":"O","p":name,"o":rows}``, whose rows are the very lists appended
+to the envelope's ``entries`` and ``outputs`` — one row format on both
+sides, and ``wal_records`` counts rows.  ``end_pass`` then seals the
+batch with a marker, the durability point.
+
+Recovery (``load_image``) applies the sealed rows onto the newest
+verifying envelope, checks each entries line's first position against
+the image once, and rejects any record type it does not know.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from ..runtime.messages import ReceivedMessage
@@ -39,6 +49,12 @@ from .codec import DurableError, decode_value, encode_value
 from .store import DurableStore
 
 _RESOLUTION_KINDS = ("affirm", "deny", "free_of")
+_log_index = attrgetter("log_index")
+
+
+def _batch_rows(rec: Dict[str, Any]) -> int:
+    """Rows a WAL batch line carries (the unit of ``wal_records``)."""
+    return len(rec.get("e") or ()) + len(rec.get("o") or ())
 
 
 def _fresh_proc_doc() -> Dict[str, Any]:
@@ -152,25 +168,32 @@ class DurableRecorder:
 
     def flush_proc(self, proc, target: int) -> None:
         """Persist ``proc``'s committed log entries and outputs below the
-        absolute position ``target`` (the commit frontier for this pass)."""
-        img = self._img(proc.name)
+        absolute position ``target`` (the commit frontier for this pass):
+        at most one entries line and one outputs line, each carrying the
+        same rows the envelope stores."""
+        name = proc.name
+        img = self._img(name)
         cursor = img.cursor
         if target > cursor:
             send_x = {e[0]: e for e in img.send_extras if e[0] < target}
             res_x = {e[0]: e[1] for e in img.res_extras if e[0] < target}
+            open_sends = self.open_sends
+            consumed = self.consumed
+            registry = self.registry
+            log_entries = proc.log.entries
+            offset = proc.log.base
+            rows = []
             for pos in range(cursor, target):
-                entry = proc.log.entry_at(pos)
-                kind = entry.kind
-                enc = encode_value(entry.result)
+                kind, result = log_entries[pos - offset]
                 extra = None
                 if kind == "send":
                     _, msg_id, dst, payload, tags = send_x[pos]
                     extra = {"d": dst, "pl": encode_value(payload), "g": list(tags)}
-                    if msg_id in self.consumed:
-                        self.consumed.discard(msg_id)
+                    if msg_id in consumed:
+                        consumed.discard(msg_id)
                     else:
-                        self.open_sends[str(msg_id)] = {
-                            "s": proc.name, "d": dst, "pl": extra["pl"],
+                        open_sends[str(msg_id)] = {
+                            "s": name, "d": dst, "pl": extra["pl"],
                             "g": extra["g"], "m": msg_id,
                         }
                 elif kind in _RESOLUTION_KINDS:
@@ -179,35 +202,40 @@ class DurableRecorder:
                     if kind != "free_of":
                         status = self._definite_status(key, kind)
                         extra["st"] = status
-                        ent = self.registry.setdefault(
+                        ent = registry.setdefault(
                             key, [key.rpartition("#")[0], "pending"]
                         )
                         ent[1] = status
                 elif kind == "recv":
-                    result = entry.result
                     if isinstance(result, ReceivedMessage):
-                        if str(result.msg_id) in self.open_sends:
-                            del self.open_sends[str(result.msg_id)]
+                        if str(result.msg_id) in open_sends:
+                            del open_sends[str(result.msg_id)]
                         else:
-                            self.consumed.add(result.msg_id)
+                            consumed.add(result.msg_id)
                 elif kind == "aid_init":
-                    handle = entry.result
-                    self.registry.setdefault(handle.key, [handle.name, "pending"])
-                rec = {"t": "e", "p": proc.name, "i": pos, "k": kind, "r": enc}
-                if extra is not None:
-                    rec["x"] = extra
-                self._append(rec)
-                img.entries.append([kind, enc, extra])
+                    registry.setdefault(result.key, [result.name, "pending"])
+                rows.append([kind, encode_value(result), extra])
+            self._append({"t": "E", "p": name, "i": cursor, "e": rows}, len(rows))
+            img.entries.extend(rows)
             img.send_extras = [e for e in img.send_extras if e[0] >= target]
             img.res_extras = [e for e in img.res_extras if e[0] >= target]
         if target > img.out_floor:
-            for record in proc.outputs:
-                if img.out_floor <= record.log_index < target:
-                    enc = encode_value(record.value)
-                    self._append({"t": "o", "p": proc.name,
-                                  "i": record.log_index, "v": enc,
-                                  "tm": record.time})
-                    img.outputs.append([enc, record.log_index, record.time])
+            # Past the outputs a crash keeps (always none here: durable
+            # runs refuse crash_process), outputs are in log order — emits
+            # append in log order, rollbacks cut a suffix, and restore
+            # rebuilds them in the order they were flushed — so this
+            # pass's slice is found by bisection, not by a full scan.
+            outputs = proc.outputs
+            lo = bisect_left(outputs, img.out_floor, proc.outputs_kept,
+                             key=_log_index)
+            hi = bisect_left(outputs, target, lo, key=_log_index)
+            if hi > lo:
+                rows = [
+                    [encode_value(record.value), record.log_index, record.time]
+                    for record in outputs[lo:hi]
+                ]
+                self._append({"t": "O", "p": name, "o": rows}, len(rows))
+                img.outputs.extend(rows)
             img.out_floor = target
 
     def _definite_status(self, key: str, kind: str) -> str:
@@ -250,9 +278,10 @@ class DurableRecorder:
         if (due or force_snapshot) and self._dirty_since_snapshot:
             self.write_snapshot(now)
 
-    def _append(self, rec: Dict[str, Any]) -> None:
+    def _append(self, rec: Dict[str, Any], rows: int) -> None:
+        """Write one batch line; ``wal_records`` counts the rows it carries."""
         self.stats["wal_bytes"] += self.store.append_record(rec)
-        self.stats["wal_records"] += 1
+        self.stats["wal_records"] += rows
         self._dirty_since_marker = True
         self._dirty_since_snapshot = True
 
@@ -340,10 +369,10 @@ class DurableRecorder:
         applied_any = False
         g = base_gen
         while g in wal_gens:
-            records, discarded, clean = store.scan_wal(g)
+            records, discarded, clean = store.scan_wal(g, weigh=_batch_rows)
             self.stats["wal_records_discarded"] += discarded
             if records:
-                self._apply_wal(image, records)
+                self._apply_wal(image, records, g)
                 applied_any = True
             if not clean:
                 break
@@ -354,56 +383,63 @@ class DurableRecorder:
             return None
         return image
 
-    def _apply_wal(self, image: Dict[str, Any], records: List[dict]) -> None:
+    def _apply_wal(self, image: Dict[str, Any], records: List[dict],
+                   gen: int) -> None:
         procs = image["procs"]
+        open_sends = image["open_sends"]
+        consumed = image.setdefault("consumed", [])
+        aids = image["aids"]
         for rec in records:
             t = rec.get("t")
-            if t == "e":
-                p = procs.setdefault(rec["p"], _fresh_proc_doc())
-                pos = rec["i"]
+            if t == "E":
+                name = rec["p"]
+                p = procs.setdefault(name, _fresh_proc_doc())
                 expect = p["base"] + len(p["entries"])
-                if pos != expect:
+                if rec["i"] != expect:
                     raise DurableError(
-                        f"WAL gap for process {rec['p']!r}: found entry "
-                        f"{pos}, expected {expect} (store is inconsistent)"
+                        f"WAL gap for process {name!r}: found entry "
+                        f"{rec['i']}, expected {expect} (store is inconsistent)"
                     )
-                extra = rec.get("x")
-                kind = rec["k"]
-                p["entries"].append([kind, rec["r"], extra])
-                if kind == "send":
-                    msg_id = rec["r"]
-                    consumed = image.setdefault("consumed", [])
-                    if msg_id in consumed:
-                        consumed.remove(msg_id)
-                    else:
-                        image["open_sends"][str(msg_id)] = {
-                            "s": rec["p"], "d": extra["d"], "pl": extra["pl"],
-                            "g": extra["g"], "m": msg_id,
-                        }
-                elif kind == "recv":
-                    result = decode_value(rec["r"])
-                    if isinstance(result, ReceivedMessage):
-                        if str(result.msg_id) in image["open_sends"]:
-                            del image["open_sends"][str(result.msg_id)]
+                rows = rec["e"]
+                p["entries"].extend(rows)
+                for kind, enc, extra in rows:
+                    if kind == "send":
+                        if enc in consumed:
+                            consumed.remove(enc)
                         else:
-                            image.setdefault("consumed", []).append(result.msg_id)
-                elif kind == "aid_init":
-                    handle = decode_value(rec["r"])
-                    image["aids"].setdefault(handle.key, [handle.name, "pending"])
-                elif kind in ("affirm", "deny") and extra:
-                    key = extra.get("a")
-                    status = extra.get("st")
-                    if key and status:
-                        ent = image["aids"].setdefault(
-                            key, [key.rpartition("#")[0], "pending"]
-                        )
-                        ent[1] = status
-            elif t == "o":
-                p = procs.setdefault(rec["p"], _fresh_proc_doc())
-                p["outputs"].append([rec["v"], rec["i"], rec["tm"]])
-                tm = rec.get("tm")
-                if tm is not None:
-                    image["time"] = max(image.get("time", 0.0), tm)
+                            open_sends[str(enc)] = {
+                                "s": name, "d": extra["d"], "pl": extra["pl"],
+                                "g": extra["g"], "m": enc,
+                            }
+                    elif kind == "recv":
+                        result = decode_value(enc)
+                        if isinstance(result, ReceivedMessage):
+                            if str(result.msg_id) in open_sends:
+                                del open_sends[str(result.msg_id)]
+                            else:
+                                consumed.append(result.msg_id)
+                    elif kind == "aid_init":
+                        handle = decode_value(enc)
+                        aids.setdefault(handle.key, [handle.name, "pending"])
+                    elif kind in ("affirm", "deny") and extra:
+                        key = extra.get("a")
+                        status = extra.get("st")
+                        if key and status:
+                            ent = aids.setdefault(
+                                key, [key.rpartition("#")[0], "pending"]
+                            )
+                            ent[1] = status
+            elif t == "O":
+                rows = rec["o"]
+                procs.setdefault(rec["p"], _fresh_proc_doc())["outputs"].extend(rows)
+                for _enc, _index, tm in rows:
+                    if tm is not None:
+                        image["time"] = max(image.get("time", 0.0), tm)
+            else:
+                raise DurableError(
+                    f"unknown WAL record type {t!r} in WAL generation {gen} "
+                    "(recorded by an incompatible version, or corrupt)"
+                )
 
     def restore(self, image: Dict[str, Any]) -> None:
         """Rebuild committed runtime state from a loaded image.  Called
@@ -520,14 +556,15 @@ class DurableRecorder:
         g("hope_durable_snapshots_total",
           "Sealed snapshot envelopes written").set(self.stats["snapshots_written"])
         g("hope_durable_wal_records_total",
-          "Committed effect-WAL records written").set(self.stats["wal_records"])
+          "Committed log entries and outputs written to the WAL").set(
+              self.stats["wal_records"])
         g("hope_durable_wal_bytes_total",
           "Bytes appended to the effect WAL").set(self.stats["wal_bytes"])
         g("hope_durable_envelopes_rejected_total",
           "Envelopes rejected at recovery (CRC/seal/chain)").set(
               self.stats["envelopes_rejected"])
         g("hope_durable_wal_records_discarded_total",
-          "Torn-tail WAL records discarded at recovery").set(
+          "Entries and outputs in torn WAL batches discarded").set(
               self.stats["wal_records_discarded"])
         g("hope_durable_injected_messages_total",
           "Committed in-flight sends re-injected at resume").set(

@@ -18,9 +18,12 @@ swapped in unnoticed.  Envelopes are written via temp file + fsync +
 atomic rename (+ directory fsync), so a crash mid-write leaves either
 the old generation or the new one, never a torn file.
 
-WAL records are one compact JSON object per line with a trailing CRC32::
+WAL records are one compact JSON object per line with a trailing CRC32.
+What a record holds is the recorder's business; it writes at most one
+entries line and one outputs line per process per fossil pass::
 
-    {"i":7,"k":"send","p":"w0",...} <crc32>\\n
+    {"e":[[kind,result,extra],...],"i":40,"p":"w0","t":"E"} <crc32>\\n
+    {"o":[[value,log_index,time],...],"p":"w0","t":"O"} <crc32>\\n
 
 Records become durable in *batches*: a marker record (``"t":"m"``)
 closes each batch with an HMAC over the batch's rolling SHA-256 digest,
@@ -35,7 +38,7 @@ import hashlib
 import json
 import os
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .codec import DurableError, crc_hex, seal_hex, seals_match
 
@@ -244,14 +247,17 @@ class DurableStore:
             raise DurableError(f"envelope {gen}: body is not JSON ({exc})")
         return doc, parts[3]
 
-    def scan_wal(self, gen: int) -> Tuple[List[Dict[str, Any]], int, bool]:
+    def scan_wal(
+        self, gen: int, weigh: Optional[Callable[[Dict[str, Any]], int]] = None,
+    ) -> Tuple[List[Dict[str, Any]], int, bool]:
         """Read WAL ``gen``, honoring batch markers.
 
         Returns ``(records, discarded, clean)``: the records covered by
         valid markers, how many record lines had to be discarded (torn
-        tail, bad CRC, or an invalid marker), and whether the file ended
-        exactly at a valid marker (``clean`` — recovery only chains into
-        the *next* generation's WAL when this one ended cleanly).
+        tail, bad CRC, or an invalid marker) — or, given ``weigh``, the
+        sum of ``weigh(record)`` over those lines — and whether the file
+        ended exactly at a valid marker (``clean`` — recovery only chains
+        into the *next* generation's WAL when this one ended cleanly).
         """
         path = os.path.join(self.root, _wal_name(gen))
         try:
@@ -261,7 +267,6 @@ class DurableStore:
         records: List[Dict[str, Any]] = []
         pending: List[Dict[str, Any]] = []
         digest = hashlib.sha256()
-        discarded = 0
         broken = False
         with fh:
             for raw_line in fh:
@@ -294,7 +299,7 @@ class DurableStore:
                 else:
                     pending.append(rec)
                     digest.update(body)
-        discarded += len(pending)
+        discarded = sum(map(weigh, pending)) if weigh else len(pending)
         clean = not broken and not pending
         return records, discarded, clean
 
